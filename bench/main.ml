@@ -684,7 +684,6 @@ type fabric_metrics = {
   fm_transport_unbatched : int;
   fm_local_hits : int;
   fm_local_misses : int;
-  fm_fabric_calls : int;
 }
 
 (* Four concurrent execution groups, each with concurrent nested callers
@@ -722,9 +721,8 @@ let measure_fabric () =
            elapsed := Exec.local_now exec - t0;
            counters :=
              Some
-               ( Fabric.calls fabric, Fabric.transport_calls fabric,
-                 Fabric.riders fabric, Fabric.drains fabric, Fabric.drained fabric,
-                 Fabric.local_hits fabric, Fabric.local_misses fabric )));
+               ( Fabric.transport_calls fabric, Fabric.riders fabric, Fabric.drains fabric,
+                 Fabric.drained fabric, Fabric.local_hits fabric, Fabric.local_misses fabric )));
     (!elapsed, Option.get !counters)
   in
   (* The two timed A/B runs and the three RTT probes are five independent
@@ -739,9 +737,9 @@ let measure_fabric () =
     ]
   in
   let ( unbatched_cycles,
-        (_, transport_off, _, _, _, _, _),
+        (transport_off, _, _, _, _, _),
         batched_cycles,
-        (fcalls, transport_on, nriders, drains, drained, hits, misses),
+        (transport_on, nriders, drains, drained, hits, misses),
         async_rtt,
         sync_cross_rtt,
         sync_same_rtt ) =
@@ -769,7 +767,6 @@ let measure_fabric () =
     fm_transport_unbatched = transport_off;
     fm_local_hits = hits;
     fm_local_misses = misses;
-    fm_fabric_calls = fcalls;
   }
 
 (* Memoized so `fabric --json` (text section + JSON writer in one
@@ -787,9 +784,11 @@ let batch_occupancy m =
   if m.fm_drains = 0 then 0.0
   else float_of_int m.fm_drained /. float_of_int m.fm_drains
 
+(* Hits over fast-path lookups (hits + misses), not over all fabric
+   calls; 0 when no lookup ran. *)
 let local_hit_rate m =
-  if m.fm_fabric_calls = 0 then 0.0
-  else float_of_int m.fm_local_hits /. float_of_int m.fm_fabric_calls
+  let lookups = m.fm_local_hits + m.fm_local_misses in
+  if lookups = 0 then 0.0 else float_of_int m.fm_local_hits /. float_of_int lookups
 
 let fabric_bench () =
   section "Fabric: batched vs unbatched forwarding (4 concurrent groups)";

@@ -135,7 +135,6 @@ let cpu_of_current t =
   t.cpus.(Exec.cpu_of th)
 
 let emit t payload = Trace.emit_event t.trace ~at:(now t) payload
-let trace_emit t ~category msg = Trace.emit t.trace ~at:(now t) ~category msg
 
 let set_tracing t flag =
   Trace.enable t.trace flag;

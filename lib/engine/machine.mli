@@ -94,8 +94,5 @@ val emit : t -> Trace.payload -> unit
 (** Record a typed event at the current virtual time (and mirror it into
     the span tracer when that is enabled). *)
 
-val trace_emit : t -> category:string -> string -> unit
-(** Deprecated printf-style shim over {!emit}; prefer typed payloads. *)
-
 val set_tracing : t -> bool -> unit
 (** Enable/disable the flat trace and the span tracer together. *)

@@ -186,9 +186,6 @@ let emit_event t ~at payload =
      formatting or allocation) only runs when the trace is live. *)
   if t.enabled then add t { at; category = category_of payload; message = render payload }
 
-let emit t ~at ~category message =
-  if t.enabled then add t { at; category; message }
-
 let emit_span t ~name ~cat ~ts ~dur =
   if t.enabled then
     match t.span_sink with Some sink -> sink ~name ~cat ~ts ~dur | None -> ()

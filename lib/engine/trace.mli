@@ -84,11 +84,6 @@ val emit_span :
     wires this to its [Mv_obs.Tracer]); a no-op when disabled or no sink
     is installed. *)
 
-val emit : t -> at:Mv_util.Cycles.t -> category:string -> string -> unit
-(** Deprecated printf-style surface, kept as a thin shim over
-    {!emit_event}'s [Message] payload.  New call sites should emit typed
-    payloads (or spans via [Machine.obs]). *)
-
 type span_sink =
   name:string -> cat:string -> ts:Mv_util.Cycles.t -> dur:Mv_util.Cycles.t -> unit
 

@@ -119,28 +119,23 @@ val restore_sync : t -> unit
     watchdog) must only restore channels they themselves degraded — a
     channel that fell back because its sync path died must stay Async. *)
 
-val queue_depth : t -> int
-(** Entries enqueued but not yet taken by the server — the channel's
-    contribution to endpoint occupancy. *)
-
 val mark_failed : t -> unit
 (** Declare the channel dead: subsequent {!call}s raise {!Channel_failure}
     immediately so the runtime reroutes work ROS-natively. *)
 
-val reset_server : t -> unit
-(** Drop server-side state left behind by a dead partner thread (parked
-    waker, half-served entry) so a respawned partner can re-enter
-    {!serve_next} cleanly. *)
+(** {1 Counters}
 
-(** {1 Counters} *)
+    The counters live in the machine's {!Mv_obs.Metrics} registry, which
+    is their only store: {!create} resolves one handle each under
+    ["event_channel/calls"], ["timeouts"], ["retries"],
+    ["protocol_errors"] and ["degraded"] (Sync->Async flips).  They are
+    therefore scoped to the machine, summed over every channel on it, and
+    live mid-run.  In the tree a machine's channels are either one
+    stand-alone channel or the endpoints of its one fabric. *)
 
 val calls : t -> int
 val timeouts : t -> int
 val retries : t -> int
-val protocol_errors : t -> int
-val degraded : t -> bool
-val failed : t -> bool
 
-val sample_metrics : t -> Mv_obs.Metrics.t -> unit
-(** Accumulate this channel's counters into the registry under the
-    [event_channel] namespace. *)
+val failed : t -> bool
+(** Per-channel: whether {!mark_failed} declared this channel dead. *)

@@ -105,7 +105,6 @@ val create :
     plan.  [batching] defaults to [true]. *)
 
 val set_batching : t -> bool -> unit
-val batching : t -> bool
 
 type grouping = Global | Per_socket
 (** Poller-pool sharding.  [Global] (the default) is one pool serving every
@@ -151,8 +150,6 @@ val rehome_core : t -> core:int -> ?ros_to:int -> ?hrt_to:int -> unit -> int
     caller. *)
 
 val channel : endpoint -> Event_channel.t
-val endpoint_name : endpoint -> string
-
 val call :
   t ->
   endpoint ->
@@ -187,14 +184,10 @@ val set_admission : t -> admission option -> unit
 
 val admission : t -> admission option
 
-val shed_mode : t -> bool
-(** Whether the watchdog currently holds the fabric in degraded mode. *)
-
-val ring_occupancy : t -> int
-(** Largest current per-endpoint count of in-flight ring slots. *)
-
 val ring_occupancy_hw : t -> int
-(** High-water mark of per-endpoint ring occupancy since creation. *)
+(** High-water mark of per-endpoint ring occupancy: the
+    ["fabric/ring_occupancy_hw"] gauge, machine-scoped like the counters
+    below. *)
 
 val inject : t -> ?kind:string -> (unit -> unit) -> unit
 (** Fire-and-forget injection (safe outside thread context): posts onto
@@ -213,7 +206,14 @@ val shutdown : t -> unit
 (** Stop the pool: wake parked pollers so they exit and stop the
     watchdog.  Endpoints stay usable for draining in-flight work. *)
 
-(** {1 Counters} *)
+(** {1 Counters}
+
+    The counters live in the machine's {!Mv_obs.Metrics} registry, which
+    is their only store: {!create} resolves one handle per counter under
+    ["fabric/<name>"] (["calls"], ["transport"], ["riders"], ...), and
+    each accessor below reads its slot.  They are therefore scoped to the
+    machine, not to the fabric instance, and live mid-run.  Every machine
+    in the tree hosts at most one fabric, so the two scopes coincide. *)
 
 val calls : t -> int
 (** Requests entering {!call}. *)
@@ -237,8 +237,8 @@ val local_hits : t -> int
 val local_misses : t -> int
 
 val retries : t -> int
-(** Channel-level timeout retries across all endpoints plus
-    spurious-errno retries. *)
+(** Channel-level timeout retries (["event_channel/retries"], every
+    channel on the machine) plus spurious-errno retries. *)
 
 val fallbacks : t -> int
 (** Sync -> Async endpoint degradations. *)
@@ -253,18 +253,6 @@ val respawns : t -> int
 val endpoints : t -> int
 val pollers : t -> int
 
-val poller_groups : t -> int
-(** Number of poller groups (1 under [Global] pooling). *)
-
-val group_cores : t -> group:int -> int list
-(** The cores a poller group round-robins over ([[]] out of range). *)
-
-val endpoint_group : t -> endpoint -> int
-(** The poller group an endpoint routes to. *)
-
-val admitted : t -> int
-(** Requests passing the admission gate (directly or after queueing). *)
-
 val sheds : t -> int
 (** Admission refusals (each emits an [Overload_shed] trace event). *)
 
@@ -275,16 +263,8 @@ val shed_retries : t -> int
 val admission_blocked : t -> int
 (** Requests that parked in an endpoint's FIFO admission queue. *)
 
-val queue_rejects : t -> int
-(** Block-policy requests shed because the admission queue was full. *)
-
 val shed_flips : t -> int
 (** Watchdog high-water crossings (shed mode engaged). *)
 
 val shed_restores : t -> int
 (** Watchdog low-water drains (shed mode released). *)
-
-val sample_metrics : t -> Mv_obs.Metrics.t -> unit
-(** Push the fabric counters (namespace ["fabric"]) and every endpoint
-    channel's counters (namespace ["event_channel"]) into a metrics
-    registry, adding to any values already registered there. *)

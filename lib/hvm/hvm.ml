@@ -69,9 +69,6 @@ let slot t part =
 let partitions t = Array.to_list t.slots |> List.map (fun s -> s.ps_id)
 let find_hrt t part = (slot t part).ps_nk
 
-(* Deprecated single-HRT shim: the first HRT partition's instance. *)
-let hrt t = if Array.length t.slots = 0 then None else t.slots.(0).ps_nk
-
 let hypercall t ~name:_ =
   t.n_hypercalls <- t.n_hypercalls + 1;
   t.n_exits <- t.n_exits + 1;

@@ -79,12 +79,6 @@ let total_syscalls rs = Mv_util.Histogram.total rs.rs_syscalls
 let wall_seconds rs = Mv_util.Cycles.to_sec rs.rs_wall_cycles
 
 let collect ~mode ~kernel ~machine ~proc ~runtime =
-  (* Snapshot subsystem counters into the metrics registry: the kernel
-     pushes tlb/mmu/mm on rusage finalization; fabric and event-channel
-     counters live on the runtime when one exists. *)
-  (match runtime with
-  | Some rt -> Mv_hvm.Fabric.sample_metrics (Runtime.fabric rt) machine.Machine.metrics
-  | None -> ());
   {
     rs_mode = mode;
     rs_stdout = Process.stdout_contents proc;

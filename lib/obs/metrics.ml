@@ -3,8 +3,9 @@
    index once, and the handle they hand back is (registry, index), so the
    hot-path update is an array store into an unboxed [int array] /
    [float array].  Counter and gauge values living in flat arrays (rather
-   than per-cell boxed records) also keeps exports cache-friendly and
-   makes the registry trivially resettable. *)
+   than per-cell boxed records) also keeps exports cache-friendly.
+   There is no reset: subsystems hold live handles, and dropping their
+   registrations would silently disconnect them. *)
 
 type t = {
   mutable counters : int array;
@@ -164,17 +165,6 @@ let to_list t =
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let find t k = Option.map (value_of t) (Hashtbl.find_opt t.index k)
-
-(* Drops every registration; handles resolved before the clear keep
-   writing into the orphaned arrays and are never exported again. *)
-let clear t =
-  Hashtbl.reset t.index;
-  t.counters <- [||];
-  t.gauges <- [||];
-  t.lats <- [||];
-  t.n_counters <- 0;
-  t.n_gauges <- 0;
-  t.n_lats <- 0
 
 let pp ppf t =
   List.iter

@@ -1,6 +1,6 @@
 (** A namespaced metrics registry: counters, gauges, and latency
     recorders, keyed ["namespace/name"] (namespaces: [fabric], [mmu],
-    [tlb], [walk_cache], [mm], [sgc], [event_channel], ...).
+    [tlb], [walk_cache], [mm], [event_channel]).
 
     Registration is idempotent — [counter m ~ns name] returns an
     equivalent handle every time — but resolution walks the string-keyed
@@ -55,5 +55,4 @@ val to_list : t -> (string * value) list
 (** All registered metrics, sorted by full name. *)
 
 val find : t -> string -> value option
-val clear : t -> unit
 val pp : Format.formatter -> t -> unit

@@ -80,7 +80,3 @@ val live_bytes : t -> int
 val mapped_bytes : t -> int
 val dirty_pages : t -> int
 (** Pages unprotected by the write barrier since the last collection. *)
-
-val sample_metrics : t -> Mv_obs.Metrics.t -> unit
-(** Snapshot the collector statistics into a metrics registry under the
-    ["sgc"] namespace (absolute values, overwriting prior samples). *)

@@ -311,7 +311,9 @@ let test_trace_ring_retention () =
   let t = Trace.create ~enabled:true ~limit:3 () in
   Alcotest.(check (option int)) "limit accessor" (Some 3) (Trace.limit t);
   for i = 1 to 5 do
-    Trace.emit t ~at:i ~category:(if i mod 2 = 0 then "even" else "odd") (string_of_int i)
+    Trace.emit_event t ~at:i
+      (Trace.Message
+         { category = (if i mod 2 = 0 then "even" else "odd"); text = string_of_int i })
   done;
   Alcotest.(check (list string)) "ring keeps the newest 3, oldest first"
     [ "3"; "4"; "5" ] (trace_msgs t);
@@ -333,7 +335,7 @@ let test_trace_ring_zero_streams () =
   let streamed = ref [] in
   Trace.set_event_sink t (Some (fun r -> streamed := r.Trace.message :: !streamed));
   for i = 1 to 4 do
-    Trace.emit t ~at:i ~category:"c" (string_of_int i)
+    Trace.emit_event t ~at:i (Trace.Message { category = "c"; text = string_of_int i })
   done;
   Alcotest.(check (list string)) "nothing retained" [] (trace_msgs t);
   check_int "all evicted" 4 (Trace.dropped t);
@@ -342,11 +344,11 @@ let test_trace_ring_zero_streams () =
 
 let test_trace_records_memoized () =
   let t = Trace.create ~enabled:true () in
-  Trace.emit t ~at:1 ~category:"c" "a";
-  Trace.emit t ~at:2 ~category:"c" "b";
+  Trace.emit_event t ~at:1 (Trace.Message { category = "c"; text = "a" });
+  Trace.emit_event t ~at:2 (Trace.Message { category = "c"; text = "b" });
   check_bool "repeat calls share the memoized list" true
     (Trace.records t == Trace.records t);
-  Trace.emit t ~at:3 ~category:"c" "c";
+  Trace.emit_event t ~at:3 (Trace.Message { category = "c"; text = "c" });
   Alcotest.(check (list string)) "emit invalidates the memo" [ "a"; "b"; "c" ]
     (trace_msgs t);
   check_bool "unbounded mode reports no limit" true (Trace.limit t = None);

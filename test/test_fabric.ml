@@ -6,6 +6,10 @@
    mvcheck fabric scenarios. *)
 
 module Fabric = Mv_hvm.Fabric
+module Event_channel = Mv_hvm.Event_channel
+module Metrics = Mv_obs.Metrics
+module Machine = Mv_engine.Machine
+module Exec = Mv_engine.Exec
 open Multiverse
 
 let check_int = Alcotest.(check int)
@@ -156,10 +160,86 @@ let test_vdso_local_path () =
   check_bool "transport never exceeds entry calls" true
     (Fabric.transport_calls f <= Fabric.calls f)
 
+(* --- counters: the machine's registry is their only store --- *)
+
+let registry_counter machine key =
+  match Metrics.find machine.Machine.metrics key with
+  | Some (Metrics.Counter_v n) -> n
+  | Some _ | None -> Alcotest.failf "%s is not a registered counter" key
+
+(* A bare fabric: nothing calls [Toolchain.collect], yet the registry
+   agrees with the accessors both from a fiber mid-run and afterwards. *)
+let test_counters_live_in_registry () =
+  let machine = Machine.create () in
+  let exec = machine.Machine.exec in
+  let f = Fabric.create machine ~kind:Event_channel.Async in
+  Fabric.start_pool f
+    ~spawn:(fun ~name ~core body -> Exec.spawn exec ~cpu:core ~name body)
+    ~cores:[ 0; 1 ] ();
+  let ep = Fabric.endpoint f ~name:"live" ~ros_core:0 ~hrt_core:7 in
+  let ch = Fabric.channel ep in
+  let req = { Event_channel.req_kind = "live"; req_run = ignore } in
+  let check_registry when_ =
+    check_int (when_ ^ ": fabric/calls") (Fabric.calls f)
+      (registry_counter machine "fabric/calls");
+    check_int (when_ ^ ": event_channel/calls") (Event_channel.calls ch)
+      (registry_counter machine "event_channel/calls")
+  in
+  ignore
+    (Exec.spawn exec ~cpu:7 ~name:"caller" (fun () ->
+         for _ = 1 to 5 do
+           Fabric.call f ep req
+         done;
+         check_int "mid-run: five calls entered" 5 (Fabric.calls f);
+         check_registry "mid-run";
+         for _ = 1 to 3 do
+           Fabric.call f ep req
+         done;
+         Fabric.shutdown f));
+  Mv_engine.Sim.run machine.Machine.sim;
+  check_int "after run: eight calls entered" 8 (Fabric.calls f);
+  check_bool "the channel carried calls" true (Event_channel.calls ch > 0);
+  check_registry "after run"
+
+(* The registry's fabric and channel keys after a multiverse run with
+   admission off: 19 fabric counters, the ring high-water gauge and 5
+   channel counters.  The shed-mode gauges register only under an
+   admission policy; the per-kind crossing latencies are left out. *)
+let test_registry_key_set () =
+  let prog =
+    {
+      Toolchain.prog_name = "fabric-keys";
+      prog_main = (fun env -> ignore (env.Mv_guest.Env.getrusage ()));
+    }
+  in
+  let rs = Toolchain.run_multiverse (Toolchain.hybridize prog) in
+  let has_prefix p k = String.length k >= String.length p && String.sub k 0 (String.length p) = p in
+  let keys =
+    Metrics.to_list rs.Toolchain.rs_machine.Machine.metrics
+    |> List.map fst
+    |> List.filter (fun k ->
+           (has_prefix "fabric/" k || has_prefix "event_channel/" k)
+           && not (has_prefix "fabric/crossing:" k))
+  in
+  Alcotest.(check (list string))
+    "fabric and event_channel keys"
+    [
+      "event_channel/calls"; "event_channel/degraded"; "event_channel/protocol_errors";
+      "event_channel/retries"; "event_channel/timeouts"; "fabric/admission_blocked";
+      "fabric/admitted"; "fabric/calls"; "fabric/drained"; "fabric/drains";
+      "fabric/errno_retries"; "fabric/fallbacks"; "fabric/local_hits"; "fabric/local_misses";
+      "fabric/queue_rejects"; "fabric/reroutes"; "fabric/respawns"; "fabric/ride_timeouts";
+      "fabric/riders"; "fabric/ring_occupancy_hw"; "fabric/shed_flips"; "fabric/shed_restores";
+      "fabric/shed_retries"; "fabric/sheds"; "fabric/transport";
+    ]
+    keys
+
 let suite =
   [
     ("four groups routed over the shared pool", `Quick, test_four_groups_routed);
     ("concurrent nested callers batch as riders", `Quick, test_riders_batch);
     ("batching toggle: fewer doorbells, faster", `Quick, test_batching_toggle);
     ("vdso fast path stays local", `Quick, test_vdso_local_path);
+    ("counters are live registry slots", `Quick, test_counters_live_in_registry);
+    ("registry key set with admission off", `Quick, test_registry_key_set);
   ]
