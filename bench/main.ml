@@ -1702,6 +1702,65 @@ let host_stress_cell () =
 (* Memoized so `host --json` measures once. *)
 let host_cells = lazy [ host_scale_cell (); host_stress_cell () ]
 
+(* Cell 3: the guest path.  Two Benchmarks Game programs at test size,
+   hybridized and run under Multiverse.  Words and wall time are counted
+   inside Vm.run_code only (the Racket VM and the SGC heap, with the
+   simulator work that interleaves), so machine set-up and Engine.start
+   stay out of the per-instruction figure. *)
+let host_guest_programs = [ "fannkuch-redux"; "binary-tree-2" ]
+
+type guest_cell = {
+  gu_instructions : int;
+  gu_sim_cycles : int;  (* simulated process runtimes, summed: golden-adjacent *)
+  gu_wall_s : float;
+  gu_minor_words : float;
+}
+
+let gu_minor_words_per_instr c =
+  if c.gu_instructions = 0 then 0.0 else c.gu_minor_words /. float_of_int c.gu_instructions
+
+let host_guest_cell () =
+  let module B = Mv_workloads.Benchmarks in
+  let module Engine = Mv_racket.Engine in
+  let module Vm = Mv_racket.Vm in
+  Gc.full_major ();
+  let instructions = ref 0 and sim_cycles = ref 0 and wall = ref 0.0 and words = ref 0.0 in
+  List.iter
+    (fun name ->
+      let b = B.find name in
+      let src = b.B.b_source b.B.b_test_n in
+      (* Benchmarks.program, with the run bracketed. *)
+      let prog =
+        {
+          Toolchain.prog_name = name;
+          prog_main =
+            (fun env ->
+              let engine = Engine.start env in
+              let vm = Engine.vm engine in
+              let idx =
+                Mv_racket.Compile.compile_toplevel (Vm.cstate vm) (Mv_racket.Sexp.parse_all src)
+              in
+              let i0 = Vm.instructions_executed vm in
+              let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+              ignore (Vm.run_code vm idx);
+              wall := !wall +. (Unix.gettimeofday () -. t0);
+              words := !words +. (Gc.minor_words () -. w0);
+              instructions := !instructions + (Vm.instructions_executed vm - i0);
+              Engine.finish engine);
+        }
+      in
+      let rs = Toolchain.run_multiverse (Toolchain.hybridize prog) in
+      sim_cycles := !sim_cycles + rs.Toolchain.rs_wall_cycles)
+    host_guest_programs;
+  {
+    gu_instructions = !instructions;
+    gu_sim_cycles = !sim_cycles;
+    gu_wall_s = !wall;
+    gu_minor_words = !words;
+  }
+
+let host_guest = lazy (host_guest_cell ())
+
 let host_bench () =
   section "Host: engine events/sec and GC words/event (wall-clock, not simulated)";
   let cells = Lazy.force host_cells in
@@ -1725,12 +1784,25 @@ let host_bench () =
         ])
     cells;
   print_string (Table.to_string t);
+  let g = Lazy.force host_guest in
+  let tg =
+    Table.create ~headers:[ "guest (multiverse, test size)"; "VM instrs"; "run (s)"; "minor w/instr" ]
+  in
+  Table.add_row tg
+    [
+      String.concat " + " host_guest_programs;
+      string_of_int g.gu_instructions;
+      Printf.sprintf "%.3f" g.gu_wall_s;
+      Printf.sprintf "%.2f" (gu_minor_words_per_instr g);
+    ];
+  print_string (Table.to_string tg);
   printf
-    "(simulated cycles are pinned by the golden surface; wall-clock and words/event\n\
-    \ are the knobs host-perf work is allowed to move)\n"
+    "(simulated cycles are pinned by the golden surface; wall-clock, words/event and\n\
+    \ words/instr are the knobs host-perf work is allowed to move)\n"
 
 (* BENCH_host.json.  Wall-clock fields are machine-dependent noise; the
-   CI allocation guard keys on minor_words_per_event only. *)
+   CI allocation guard keys on minor_words_per_event and
+   minor_words_per_instr. *)
 let write_host_json path =
   let cells = Lazy.force host_cells in
   let open Bench_report in
@@ -1764,6 +1836,23 @@ let write_host_json path =
             ("yields_per_fiber", Int host_stress_yields);
             ("cell", cell (List.nth cells 1));
           ] );
+      (let g = Lazy.force host_guest in
+       ( "guest",
+         Obj
+           [
+             ("programs", List (List.map (fun p -> Str p) host_guest_programs));
+             ("mode", Str "multiverse");
+             ("size", Str "test");
+             ( "cell",
+               Obj
+                 [
+                   ("instructions", Int g.gu_instructions);
+                   ("sim_cycles", Int g.gu_sim_cycles);
+                   ("wall_s", Float (g.gu_wall_s, 4));
+                   ("minor_words_per_instr", Float (gu_minor_words_per_instr g, 2));
+                   ("minor_words", Float (g.gu_minor_words, 0));
+                 ] );
+           ] ));
     ];
   let c = List.nth cells 0 in
   printf "wrote %s (scale: %.0f events/sec, %.1f minor words/event)\n%!" path

@@ -6,6 +6,7 @@ let words_per_page = Addr.page_size / 8
 
 type seg = {
   s_base : Addr.t;
+  s_limit : Addr.t;  (* one past the last byte *)
   s_pages : int;
   s_words : int array;
   s_starts : Bytes.t;  (* per word: 1 = live object header *)
@@ -30,7 +31,7 @@ type t = {
   env : Env.t;
   segment_pages : int;
   mutable segs : seg list;
-  page_map : (int, seg) Hashtbl.t;
+  mutable hot : seg;  (* the segment of the last lookup *)
   flists : (int, (seg * int) list ref) Hashtbl.t;  (* block words -> blocks *)
   mutable cur : seg;
   mutable bytes_since_gc : int;
@@ -41,18 +42,34 @@ type t = {
   scannable : bool array;  (* by tag *)
   st : stats;
   mutable live_bytes : int;
-  mutable dirty : int;
   mutable in_gc : bool;
   mutable barrier_installed : bool;
 }
 
 (* --- segments --- *)
 
+(* "No segment": its empty address range matches nothing. *)
+let no_seg =
+  {
+    s_base = 0;
+    s_limit = 0;
+    s_pages = 0;
+    s_words = [||];
+    s_starts = Bytes.empty;
+    s_frees = Bytes.empty;
+    s_marks = Bytes.empty;
+    s_resident = Bytes.empty;
+    s_protected = Bytes.empty;
+    s_bump = 0;
+    s_live_words = 0;
+  }
+
 let map_segment t pages =
   let base = t.env.Env.mmap ~len:(pages * Addr.page_size) ~prot:Mv_ros.Mm.prot_rw ~kind:"gc-heap" in
   let seg =
     {
       s_base = base;
+      s_limit = base + (pages * Addr.page_size);
       s_pages = pages;
       s_words = Array.make (pages * words_per_page) 0;
       s_starts = Bytes.make (pages * words_per_page) '\000';
@@ -65,18 +82,13 @@ let map_segment t pages =
     }
   in
   t.segs <- seg :: t.segs;
-  for i = 0 to pages - 1 do
-    Hashtbl.replace t.page_map (Addr.page_of base + i) seg
-  done;
   t.st.segments_mapped <- t.st.segments_mapped + 1;
   seg
 
 let unmap_segment t seg =
   t.env.Env.munmap ~addr:seg.s_base ~len:(seg.s_pages * Addr.page_size);
-  for i = 0 to seg.s_pages - 1 do
-    Hashtbl.remove t.page_map (Addr.page_of seg.s_base + i)
-  done;
   t.segs <- List.filter (fun s -> s != seg) t.segs;
+  t.hot <- no_seg;
   t.st.segments_unmapped <- t.st.segments_unmapped + 1
 
 (* 512 pages = 2 MiB: exactly one huge-page chunk, so heap segments promote
@@ -98,7 +110,7 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
       env;
       segment_pages;
       segs = [];
-      page_map = Hashtbl.create 256;
+      hot = no_seg;
       flists = Hashtbl.create 32;
       cur = Obj.magic 0;  (* set below *)
       bytes_since_gc = 0;
@@ -109,7 +121,6 @@ let create env ?(segment_pages = 512) ?(threshold = 4 * 1024 * 1024) ?(protect_a
       scannable = Array.make 256 false;
       st;
       live_bytes = 0;
-      dirty = 0;
       in_gc = false;
       barrier_installed = false;
     }
@@ -123,18 +134,36 @@ let set_scannable t ~tag flag = t.scannable.(tag) <- flag
 
 (* --- access --- *)
 
-let locate t addr =
-  match Hashtbl.find_opt t.page_map (Addr.page_of addr) with
-  | Some seg -> (seg, (addr - seg.s_base) / 8)
-  | None -> invalid_arg (Printf.sprintf "Sgc: address %x outside heap" addr)
+(* The segment holding [addr], or [no_seg]: the last hit first, then the
+   short segment list.  Allocates nothing. *)
+let rec scan addr = function
+  | [] -> no_seg
+  | seg :: rest -> if addr >= seg.s_base && addr < seg.s_limit then seg else scan addr rest
 
-let page_rel _seg widx = widx / words_per_page
+let seg_of t addr =
+  let hot = t.hot in
+  if addr >= hot.s_base && addr < hot.s_limit then hot
+  else begin
+    let seg = scan addr t.segs in
+    if seg != no_seg then t.hot <- seg;
+    seg
+  end
+
+let outside_heap addr = invalid_arg (Printf.sprintf "Sgc: address %x outside heap" addr)
+
+let locate t addr =
+  let seg = seg_of t addr in
+  if seg == no_seg then outside_heap addr;
+  seg
+
+let widx_of seg addr = (addr - seg.s_base) / 8
+let page_rel widx = widx / words_per_page
 
 (* Make the page holding word [widx] writable, paying the appropriate
    fault: demand paging on first touch, a write-barrier SIGSEGV when the
    page was protected after a collection. *)
 let ensure_writable t seg widx =
-  let pr = page_rel seg widx in
+  let pr = page_rel widx in
   if Bytes.get seg.s_resident pr = '\000' || Bytes.get seg.s_protected pr = '\001' then begin
     t.env.Env.store (seg.s_base + (widx * 8));
     Bytes.set seg.s_resident pr '\001';
@@ -144,13 +173,15 @@ let ensure_writable t seg widx =
   end
 
 let write_word t addr v =
-  let seg, widx = locate t addr in
+  let seg = locate t addr in
+  let widx = widx_of seg addr in
   ensure_writable t seg widx;
   seg.s_words.(widx) <- v
 
 let read_word t addr =
-  let seg, widx = locate t addr in
-  let pr = page_rel seg widx in
+  let seg = locate t addr in
+  let widx = widx_of seg addr in
+  let pr = page_rel widx in
   if Bytes.get seg.s_resident pr = '\000' then begin
     t.env.Env.touch (seg.s_base + (widx * 8));
     Bytes.set seg.s_resident pr '\001'
@@ -158,20 +189,11 @@ let read_word t addr =
   seg.s_words.(widx)
 
 let header_of t addr =
-  let seg, widx = locate t addr in
-  seg.s_words.(widx)
+  let seg = locate t addr in
+  seg.s_words.(widx_of seg addr)
 
 let header_tag t addr = header_of t addr land 0xFF
 let header_words t addr = header_of t addr lsr 8
-
-let is_heap_pointer t v =
-  v land 7 = 0 && v > 0
-  &&
-  match Hashtbl.find_opt t.page_map (Addr.page_of v) with
-  | Some seg ->
-      let widx = (v - seg.s_base) / 8 in
-      widx < seg.s_bump && Bytes.get seg.s_starts widx = '\001'
-  | None -> false
 
 (* --- write barrier --- *)
 
@@ -180,18 +202,16 @@ let install_barrier t =
     (Mv_ros.Signal.Handler
        (fun info ->
          let addr = info.Mv_ros.Signal.si_addr in
-         match Hashtbl.find_opt t.page_map (Addr.page_of addr) with
-         | Some seg ->
-             let pr = Addr.page_of addr - Addr.page_of seg.s_base in
-             if Bytes.get seg.s_protected pr = '\001' then begin
-               t.env.Env.mprotect ~addr:(Addr.align_down addr) ~len:Addr.page_size
-                 ~prot:Mv_ros.Mm.prot_rw;
-               Bytes.set seg.s_protected pr '\000';
-               t.st.barrier_faults <- t.st.barrier_faults + 1;
-               t.dirty <- t.dirty + 1
-             end
-             else failwith "Sgc: SIGSEGV on unprotected heap page"
-         | None -> failwith (Printf.sprintf "Sgc: segfault outside heap at %x" addr)));
+         let seg = seg_of t addr in
+         if seg == no_seg then failwith (Printf.sprintf "Sgc: segfault outside heap at %x" addr);
+         let pr = page_rel (widx_of seg addr) in
+         if Bytes.get seg.s_protected pr = '\001' then begin
+           t.env.Env.mprotect ~addr:(Addr.align_down addr) ~len:Addr.page_size
+             ~prot:Mv_ros.Mm.prot_rw;
+           Bytes.set seg.s_protected pr '\000';
+           t.st.barrier_faults <- t.st.barrier_faults + 1
+         end
+         else failwith "Sgc: SIGSEGV on unprotected heap page"));
   (* The runtime briefly masks SIGSEGV while installing (glibc does the
      equivalent dance; visible as rt_sigprocmask in Figure 11). *)
   t.env.Env.sigprocmask ~block:true Mv_ros.Signal.Sigsegv;
@@ -199,13 +219,6 @@ let install_barrier t =
   t.barrier_installed <- true
 
 (* --- collection --- *)
-
-let take_free t total =
-  match Hashtbl.find_opt t.flists total with
-  | Some ({ contents = (seg, widx) :: rest } as cell) ->
-      cell := rest;
-      Some (seg, widx)
-  | Some _ | None -> None
 
 let add_free t seg widx total =
   Bytes.set seg.s_frees widx '\001';
@@ -217,10 +230,15 @@ let add_free t seg widx total =
 let mark_phase t =
   let work = ref 0 in
   let stack = Stack.create () in
+  (* Conservative: any word that decodes as a pointer to a live object
+     start is a reference. *)
   let visit v =
-    if is_heap_pointer t v then begin
-      let seg, widx = locate t v in
-      if Bytes.get seg.s_marks widx = '\000' then begin
+    let seg = if v land 7 = 0 && v > 0 then seg_of t v else no_seg in
+    if seg != no_seg then begin
+      let widx = widx_of seg v in
+      if widx < seg.s_bump && Bytes.get seg.s_starts widx = '\001'
+         && Bytes.get seg.s_marks widx = '\000'
+      then begin
         Bytes.set seg.s_marks widx '\001';
         Stack.push (seg, widx) stack
       end
@@ -334,15 +352,24 @@ let collect t =
           Tracer.with_span (obs t) ~name:"gc:protect" ~cat:"sgc" (fun () ->
               protect_phase t);
         t.bytes_since_gc <- 0;
-        t.dirty <- 0;
         t.threshold <- max t.base_threshold t.live_bytes);
     t.in_gc <- false
   end
 
 (* --- allocation --- *)
 
-let zero_payload seg widx total =
-  Array.fill seg.s_words widx total 0
+(* Initialise the block at [widx] as an object: touch every page it spans
+   (demand paging / write barrier), zero it and write its header. *)
+let place t seg widx ~tag ~words =
+  let total = words + 1 in
+  let first_page = page_rel widx and last_page = page_rel (widx + total - 1) in
+  for p = first_page to last_page do
+    ensure_writable t seg (p * words_per_page + if p = first_page then widx mod words_per_page else 0)
+  done;
+  Array.fill seg.s_words widx total 0;
+  seg.s_words.(widx) <- (words lsl 8) lor tag;
+  Bytes.set seg.s_starts widx '\001';
+  seg.s_base + (widx * 8)
 
 let alloc t ~tag ~words =
   if t.bytes_since_gc >= t.threshold then collect t;
@@ -350,36 +377,25 @@ let alloc t ~tag ~words =
   t.bytes_since_gc <- t.bytes_since_gc + (total * 8);
   t.st.bytes_allocated <- t.st.bytes_allocated + (total * 8);
   t.env.Env.work 22;
-  let seg, widx =
-    match take_free t total with
-    | Some (seg, widx) ->
-        Bytes.set seg.s_frees widx '\000';
-        (seg, widx)
-    | None ->
-        let seg =
-          if t.cur.s_bump + total <= Array.length t.cur.s_words then t.cur
-          else begin
-            let pages = max t.segment_pages ((total * 8 / Addr.page_size) + 1) in
-            let seg = map_segment t pages in
-            t.cur <- seg;
-            seg
-          end
-        in
-        let widx = seg.s_bump in
-        seg.s_bump <- seg.s_bump + total;
-        (seg, widx)
-  in
-  (* Touch every page the object spans (demand paging / write barrier). *)
-  let first_page = page_rel seg widx and last_page = page_rel seg (widx + total - 1) in
-  for p = first_page to last_page do
-    ensure_writable t seg (p * words_per_page + if p = first_page then widx mod words_per_page else 0)
-  done;
-  zero_payload seg widx total;
-  seg.s_words.(widx) <- (words lsl 8) lor tag;
-  Bytes.set seg.s_starts widx '\001';
-  seg.s_base + (widx * 8)
+  match Hashtbl.find t.flists total with
+  | { contents = (seg, widx) :: rest } as cell ->
+      cell := rest;
+      Bytes.set seg.s_frees widx '\000';
+      place t seg widx ~tag ~words
+  | { contents = [] } | (exception Not_found) ->
+      let seg =
+        if t.cur.s_bump + total <= Array.length t.cur.s_words then t.cur
+        else begin
+          let pages = max t.segment_pages ((total * 8 / Addr.page_size) + 1) in
+          let seg = map_segment t pages in
+          t.cur <- seg;
+          seg
+        end
+      in
+      let widx = seg.s_bump in
+      seg.s_bump <- seg.s_bump + total;
+      place t seg widx ~tag ~words
 
 let stats t = t.st
 let live_bytes t = t.live_bytes
 let mapped_bytes t = List.fold_left (fun acc s -> acc + (s.s_pages * Addr.page_size)) 0 t.segs
-let dirty_pages t = t.dirty

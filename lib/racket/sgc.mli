@@ -10,7 +10,7 @@
     - after each collection, occupied pages are write-protected with
       [mprotect]; the first subsequent write to such a page raises SIGSEGV,
       whose handler (installed with [rt_sigaction]) unprotects the page and
-      records it dirty — a page-granularity write barrier;
+      counts a barrier fault — a page-granularity write barrier;
     - demand-paging faults on first touch of fresh heap pages.
 
     Objects are word-arrays with a one-word header (low 8 bits: type tag;
@@ -62,8 +62,6 @@ val read_word : t -> Mv_hw.Addr.t -> int
 val write_word : t -> Mv_hw.Addr.t -> int -> unit
 val header_tag : t -> Mv_hw.Addr.t -> int
 val header_words : t -> Mv_hw.Addr.t -> int
-val is_heap_pointer : t -> int -> bool
-(** Does this word decode as a pointer to a live object start? *)
 
 (** {1 Scannable tags} *)
 
@@ -78,5 +76,3 @@ val live_bytes : t -> int
 (** As of the last collection. *)
 
 val mapped_bytes : t -> int
-val dirty_pages : t -> int
-(** Pages unprotected by the write barrier since the last collection. *)

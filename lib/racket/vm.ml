@@ -204,11 +204,10 @@ let num2 t name a b ~fix ~flo =
 let fixr n = V.fixnum n
 let flor t f = V.flonum t.heap f
 
+(* / min max: folded left over an argument list. *)
 let arith_fold t name args ~id ~fix ~flo =
   match args with
   | [] -> fixr id
-  | [ x ] when name = "-" ->
-      if V.is_fixnum x then fixr (-V.fixnum_val x) else flor t (-.float_val t x)
   | [ x ] when name = "/" -> (
       match x with
       | _ when V.is_fixnum x && V.fixnum_val x = 1 -> fixr 1
@@ -221,333 +220,396 @@ let arith_fold t name args ~id ~fix ~flo =
             ~flo:(fun a b -> flo t a b))
         first rest
 
-let compare_chain t args ~fix ~flo =
-  let rec go = function
-    | a :: (b :: _ as rest) ->
-        let ok =
-          if V.is_fixnum a && V.is_fixnum b then fix (V.fixnum_val a) (V.fixnum_val b)
-          else flo (float_val t a) (float_val t b)
-        in
-        ok && go rest
-    | _ -> true
-  in
-  V.bool_v (go args)
-
 (* --- primitive execution ---
 
    Arguments stay on the stack while the primitive runs (so they remain
    GC roots across any allocation); [finish] pops them and pushes the
-   result. *)
+   result.  These helpers take [t] and the argument count [n] instead of
+   closing over them, so a primitive call allocates nothing of its own. *)
+
+let arg t n i = t.stack.(t.sp - n + i)
+let args t n = List.init n (arg t n)
+
+let finish t n v =
+  t.sp <- t.sp - n;
+  push t v;
+  clear_temps t
+
+let int_arg t n name i =
+  let v = arg t n i in
+  if V.is_fixnum v then V.fixnum_val v
+  else err "%s: expected integer, got %s" name (display_string t v)
+
+(* Argument [i] if [ok] holds of it, else "[name]: expected [what]".  The
+   heap predicates read the header only, so the check costs no simulated
+   cycles. *)
+let checked_arg t n name what ok i =
+  let v = arg t n i in
+  if ok t.heap v then v else err "%s: expected %s, got %s" name what (display_string t v)
+
+let string_arg t n name i = checked_arg t n name "string" V.is_string i
+
+(* Argument [i] as a proper list's elements. *)
+let list_arg t n name i =
+  let rec go acc v =
+    if v = V.nil then List.rev acc
+    else if V.is_pair t.heap v then go (V.car t.heap v :: acc) (V.cdr t.heap v)
+    else err "%s: expected list, got %s" name (display_string t (arg t n i))
+  in
+  go [] (arg t n i)
+
+(* Fail unless [v], a tail of argument [i], is a pair. *)
+let expect_pair t n name what i v =
+  if not (V.is_pair t.heap v) then
+    err "%s: expected %s, got %s" name what (display_string t (arg t n i))
+
+(* + - * and the comparisons read their arguments in place on the stack:
+   no argument list, no closures.  [p] picks the operation. *)
+
+let arith2 t p a b =
+  if V.is_fixnum a && V.is_fixnum b then begin
+    let x = V.fixnum_val a and y = V.fixnum_val b in
+    match p with Padd -> fixr (x + y) | Psub -> fixr (x - y) | _ -> fixr (x * y)
+  end
+  else if is_number t a && is_number t b then begin
+    let y = float_val t b in
+    let x = float_val t a in
+    match p with Padd -> flor t (x +. y) | Psub -> flor t (x -. y) | _ -> flor t (x *. y)
+  end
+  else
+    err "%s: expected numbers, got %s and %s"
+      (match p with Padd -> "+" | Psub -> "-" | _ -> "*")
+      (display_string t a) (display_string t b)
+
+(* Folded left; a lone argument is returned as it is, except by -. *)
+let arith_args t p n =
+  if n = 0 then begin
+    if p = Psub then err "-: needs at least one argument";
+    fixr (if p = Pmul then 1 else 0)
+  end
+  else if n = 1 && p = Psub then begin
+    let x = arg t n 0 in
+    if V.is_fixnum x then fixr (-V.fixnum_val x) else flor t (-.float_val t x)
+  end
+  else begin
+    let acc = ref (arg t n 0) in
+    for i = 1 to n - 1 do
+      acc := arith2 t p !acc (arg t n i)
+    done;
+    !acc
+  end
+
+let compare2 t p a b =
+  if V.is_fixnum a && V.is_fixnum b then begin
+    let x = V.fixnum_val a and y = V.fixnum_val b in
+    match p with Plt -> x < y | Pgt -> x > y | Ple -> x <= y | Pge -> x >= y | _ -> x = y
+  end
+  else begin
+    let y = float_val t b in
+    let x = float_val t a in
+    match p with Plt -> x < y | Pgt -> x > y | Ple -> x <= y | Pge -> x >= y | _ -> x = y
+  end
+
+(* Pairwise from argument [i], stopping at the first false pair. *)
+let rec compare_args t p n i =
+  i >= n - 1 || (compare2 t p (arg t n i) (arg t n (i + 1)) && compare_args t p n (i + 1))
 
 let exec_prim t p n =
   let gc = t.heap in
-  let arg i = t.stack.(t.sp - n + i) in
-  let args () = List.init n arg in
-  let finish v =
-    t.sp <- t.sp - n;
-    push t v;
-    clear_temps t
-  in
-  let int_arg name i =
-    let v = arg i in
-    if V.is_fixnum v then V.fixnum_val v
-    else err "%s: expected integer, got %s" name (display_string t v)
-  in
-  let string_arg name i =
-    let v = arg i in
-    if V.is_string gc v then v else err "%s: expected string, got %s" name (display_string t v)
-  in
   match p with
   (* numbers *)
-  | Padd ->
-      finish
-        (arith_fold t "+" (args ()) ~id:0 ~fix:(fun a b -> fixr (a + b))
-           ~flo:(fun t a b -> flor t (a +. b)))
-  | Psub ->
-      if n = 0 then err "-: needs at least one argument"
-      else
-        finish
-          (arith_fold t "-" (args ()) ~id:0 ~fix:(fun a b -> fixr (a - b))
-             ~flo:(fun t a b -> flor t (a -. b)))
-  | Pmul ->
-      finish
-        (arith_fold t "*" (args ()) ~id:1 ~fix:(fun a b -> fixr (a * b))
-           ~flo:(fun t a b -> flor t (a *. b)))
+  | Padd | Psub | Pmul -> finish t n (arith_args t p n)
+  | Plt | Pgt | Ple | Pge | Pnumeq -> finish t n (V.bool_v (compare_args t p n 0))
   | Pdiv ->
       if n = 0 then err "/: needs at least one argument"
       else
-        finish
-          (arith_fold t "/" (args ()) ~id:1
+        finish t n
+          (arith_fold t "/" (args t n) ~id:1
              ~fix:(fun a b ->
                if b = 0 then err "/: division by zero"
                else if a mod b = 0 then fixr (a / b)
                else flor t (float_of_int a /. float_of_int b))
              ~flo:(fun t a b -> flor t (a /. b)))
   | Pquotient ->
-      let a = int_arg "quotient" 0 and b = int_arg "quotient" 1 in
-      if b = 0 then err "quotient: division by zero" else finish (fixr (a / b))
+      let a = int_arg t n "quotient" 0 and b = int_arg t n "quotient" 1 in
+      if b = 0 then err "quotient: division by zero" else finish t n (fixr (a / b))
   | Premainder ->
-      let a = int_arg "remainder" 0 and b = int_arg "remainder" 1 in
-      if b = 0 then err "remainder: division by zero" else finish (fixr (a mod b))
+      let a = int_arg t n "remainder" 0 and b = int_arg t n "remainder" 1 in
+      if b = 0 then err "remainder: division by zero" else finish t n (fixr (a mod b))
   | Pmodulo ->
-      let a = int_arg "modulo" 0 and b = int_arg "modulo" 1 in
+      let a = int_arg t n "modulo" 0 and b = int_arg t n "modulo" 1 in
       if b = 0 then err "modulo: division by zero"
-      else finish (fixr (((a mod b) + b) mod b))
+      else finish t n (fixr (((a mod b) + b) mod b))
   | Pabs ->
-      let v = arg 0 in
-      finish
+      let v = arg t n 0 in
+      finish t n
         (if V.is_fixnum v then fixr (abs (V.fixnum_val v))
          else flor t (Float.abs (float_val t v)))
   | Pmin ->
-      finish
-        (arith_fold t "min" (args ()) ~id:0 ~fix:(fun a b -> fixr (min a b))
+      finish t n
+        (arith_fold t "min" (args t n) ~id:0 ~fix:(fun a b -> fixr (min a b))
            ~flo:(fun t a b -> flor t (Float.min a b)))
   | Pmax ->
-      finish
-        (arith_fold t "max" (args ()) ~id:0 ~fix:(fun a b -> fixr (max a b))
+      finish t n
+        (arith_fold t "max" (args t n) ~id:0 ~fix:(fun a b -> fixr (max a b))
            ~flo:(fun t a b -> flor t (Float.max a b)))
   | Pexpt ->
-      let b = arg 0 and e = arg 1 in
+      let b = arg t n 0 and e = arg t n 1 in
       if V.is_fixnum b && V.is_fixnum e && V.fixnum_val e >= 0 then begin
         let rec ipow acc b e = if e = 0 then acc else ipow (acc * b) b (e - 1) in
-        finish (fixr (ipow 1 (V.fixnum_val b) (V.fixnum_val e)))
+        finish t n (fixr (ipow 1 (V.fixnum_val b) (V.fixnum_val e)))
       end
-      else finish (flor t (Float.pow (float_val t b) (float_val t e)))
+      else finish t n (flor t (Float.pow (float_val t b) (float_val t e)))
   | Psqrt ->
-      let f = float_val t (arg 0) in
+      let f = float_val t (arg t n 0) in
       let r = sqrt f in
-      if V.is_fixnum (arg 0) && Float.is_integer r then finish (fixr (int_of_float r))
-      else finish (flor t r)
+      if V.is_fixnum (arg t n 0) && Float.is_integer r then finish t n (fixr (int_of_float r))
+      else finish t n (flor t r)
   | Pfloor ->
-      let v = arg 0 in
-      finish (if V.is_fixnum v then v else flor t (Float.floor (float_val t v)))
+      let v = arg t n 0 in
+      finish t n (if V.is_fixnum v then v else flor t (Float.floor (float_val t v)))
   | Ptruncate ->
-      let v = arg 0 in
-      finish (if V.is_fixnum v then v else flor t (Float.trunc (float_val t v)))
+      let v = arg t n 0 in
+      finish t n (if V.is_fixnum v then v else flor t (Float.trunc (float_val t v)))
   | Pround ->
-      let v = arg 0 in
-      finish (if V.is_fixnum v then v else flor t (Float.round (float_val t v)))
-  | Pexact_to_inexact -> finish (flor t (float_val t (arg 0)))
+      let v = arg t n 0 in
+      finish t n (if V.is_fixnum v then v else flor t (Float.round (float_val t v)))
+  | Pexact_to_inexact -> finish t n (flor t (float_val t (arg t n 0)))
   | Pinexact_to_exact ->
-      let v = arg 0 in
-      finish (if V.is_fixnum v then v else fixr (int_of_float (float_val t v)))
-  | Psin -> finish (flor t (sin (float_val t (arg 0))))
-  | Pcos -> finish (flor t (cos (float_val t (arg 0))))
-  | Patan -> finish (flor t (atan (float_val t (arg 0))))
-  | Plog -> finish (flor t (log (float_val t (arg 0))))
-  | Pexp -> finish (flor t (exp (float_val t (arg 0))))
-  | Plt -> finish (compare_chain t (args ()) ~fix:( < ) ~flo:( < ))
-  | Pgt -> finish (compare_chain t (args ()) ~fix:( > ) ~flo:( > ))
-  | Ple -> finish (compare_chain t (args ()) ~fix:( <= ) ~flo:( <= ))
-  | Pge -> finish (compare_chain t (args ()) ~fix:( >= ) ~flo:( >= ))
-  | Pnumeq -> finish (compare_chain t (args ()) ~fix:( = ) ~flo:( = ))
+      let v = arg t n 0 in
+      finish t n (if V.is_fixnum v then v else fixr (int_of_float (float_val t v)))
+  | Psin -> finish t n (flor t (sin (float_val t (arg t n 0))))
+  | Pcos -> finish t n (flor t (cos (float_val t (arg t n 0))))
+  | Patan -> finish t n (flor t (atan (float_val t (arg t n 0))))
+  | Plog -> finish t n (flor t (log (float_val t (arg t n 0))))
+  | Pexp -> finish t n (flor t (exp (float_val t (arg t n 0))))
   | Pzerop ->
-      finish
-        (V.bool_v (if V.is_fixnum (arg 0) then V.fixnum_val (arg 0) = 0
-                   else float_val t (arg 0) = 0.0))
-  | Pevenp -> finish (V.bool_v (int_arg "even?" 0 land 1 = 0))
-  | Poddp -> finish (V.bool_v (int_arg "odd?" 0 land 1 = 1))
-  | Pnegativep -> finish (V.bool_v (float_val t (arg 0) < 0.))
-  | Ppositivep -> finish (V.bool_v (float_val t (arg 0) > 0.))
+      finish t n
+        (V.bool_v (if V.is_fixnum (arg t n 0) then V.fixnum_val (arg t n 0) = 0
+                   else float_val t (arg t n 0) = 0.0))
+  | Pevenp -> finish t n (V.bool_v (int_arg t n "even?" 0 land 1 = 0))
+  | Poddp -> finish t n (V.bool_v (int_arg t n "odd?" 0 land 1 = 1))
+  | Pnegativep -> finish t n (V.bool_v (float_val t (arg t n 0) < 0.))
+  | Ppositivep -> finish t n (V.bool_v (float_val t (arg t n 0) > 0.))
   (* predicates *)
-  | Peq -> finish (V.bool_v (arg 0 = arg 1))
-  | Peqv -> finish (V.bool_v (V.eqv gc (arg 0) (arg 1)))
-  | Pequal -> finish (V.bool_v (V.equal gc (arg 0) (arg 1)))
-  | Pnot -> finish (V.bool_v (arg 0 = V.vfalse))
-  | Pnullp -> finish (V.bool_v (arg 0 = V.nil))
-  | Ppairp -> finish (V.bool_v (V.is_pair gc (arg 0)))
-  | Pnumberp -> finish (V.bool_v (is_number t (arg 0)))
+  | Peq -> finish t n (V.bool_v (arg t n 0 = arg t n 1))
+  | Peqv -> finish t n (V.bool_v (V.eqv gc (arg t n 0) (arg t n 1)))
+  | Pequal -> finish t n (V.bool_v (V.equal gc (arg t n 0) (arg t n 1)))
+  | Pnot -> finish t n (V.bool_v (arg t n 0 = V.vfalse))
+  | Pnullp -> finish t n (V.bool_v (arg t n 0 = V.nil))
+  | Ppairp -> finish t n (V.bool_v (V.is_pair gc (arg t n 0)))
+  | Pnumberp -> finish t n (V.bool_v (is_number t (arg t n 0)))
   | Pintegerp ->
-      finish
+      finish t n
         (V.bool_v
-           (V.is_fixnum (arg 0)
-           || (V.is_flonum gc (arg 0) && Float.is_integer (V.flonum_val gc (arg 0)))))
-  | Pstringp -> finish (V.bool_v (V.is_string gc (arg 0)))
-  | Psymbolp -> finish (V.bool_v (V.is_sym (arg 0)))
-  | Pprocedurep -> finish (V.bool_v (V.is_closure gc (arg 0)))
-  | Pvectorp -> finish (V.bool_v (V.is_vector gc (arg 0)))
-  | Pbooleanp -> finish (V.bool_v (arg 0 = V.vtrue || arg 0 = V.vfalse))
-  | Pcharp -> finish (V.bool_v (V.is_char (arg 0)))
+           (V.is_fixnum (arg t n 0)
+           || (V.is_flonum gc (arg t n 0) && Float.is_integer (V.flonum_val gc (arg t n 0)))))
+  | Pstringp -> finish t n (V.bool_v (V.is_string gc (arg t n 0)))
+  | Psymbolp -> finish t n (V.bool_v (V.is_sym (arg t n 0)))
+  | Pprocedurep -> finish t n (V.bool_v (V.is_closure gc (arg t n 0)))
+  | Pvectorp -> finish t n (V.bool_v (V.is_vector gc (arg t n 0)))
+  | Pbooleanp -> finish t n (V.bool_v (arg t n 0 = V.vtrue || arg t n 0 = V.vfalse))
+  | Pcharp -> finish t n (V.bool_v (V.is_char (arg t n 0)))
   (* pairs *)
-  | Pcons -> finish (V.cons gc (arg 0) (arg 1))
+  | Pcons -> finish t n (V.cons gc (arg t n 0) (arg t n 1))
   | Pcar ->
-      if V.is_pair gc (arg 0) then finish (V.car gc (arg 0))
-      else err "car: expected pair, got %s" (display_string t (arg 0))
+      if V.is_pair gc (arg t n 0) then finish t n (V.car gc (arg t n 0))
+      else err "car: expected pair, got %s" (display_string t (arg t n 0))
   | Pcdr ->
-      if V.is_pair gc (arg 0) then finish (V.cdr gc (arg 0))
-      else err "cdr: expected pair, got %s" (display_string t (arg 0))
+      if V.is_pair gc (arg t n 0) then finish t n (V.cdr gc (arg t n 0))
+      else err "cdr: expected pair, got %s" (display_string t (arg t n 0))
   | Psetcar ->
-      V.set_car gc (arg 0) (arg 1);
-      finish V.vvoid
+      V.set_car gc (checked_arg t n "set-car!" "pair" V.is_pair 0) (arg t n 1);
+      finish t n V.vvoid
   | Psetcdr ->
-      V.set_cdr gc (arg 0) (arg 1);
-      finish V.vvoid
+      V.set_cdr gc (checked_arg t n "set-cdr!" "pair" V.is_pair 0) (arg t n 1);
+      finish t n V.vvoid
   | Plist ->
       let acc = ref V.nil in
       for i = n - 1 downto 0 do
         t.ntemps <- 0;
         protect t !acc;
-        acc := V.cons gc (arg i) !acc
+        acc := V.cons gc (arg t n i) !acc
       done;
-      finish !acc
+      finish t n !acc
   | Plength ->
       let rec go acc v =
         if v = V.nil then acc
         else if V.is_pair gc v then go (acc + 1) (V.cdr gc v)
         else err "length: improper list"
       in
-      finish (fixr (go 0 (arg 0)))
+      finish t n (fixr (go 0 (arg t n 0)))
   | Pappend ->
-      if n = 0 then finish V.nil
-      else begin
-        (* Copy all but the last, sharing the tail. *)
-        let rec copy_onto front tail =
-          match front with
-          | [] -> tail
-          | v :: rest ->
-              let elems = V.to_list gc v in
-              List.fold_right
-                (fun x acc ->
-                  t.ntemps <- 0;
-                  protect t acc;
-                  V.cons gc x acc)
-                elems (copy_onto rest tail)
-        in
-        let all = args () in
-        let rec split = function
-          | [ last ] -> ([], last)
-          | x :: rest ->
-              let front, last = split rest in
-              (x :: front, last)
-          | [] -> assert false
-        in
-        let front, last = split all in
-        finish (copy_onto front last)
-      end
+      (* Copy all but the last, sharing the tail. *)
+      let rec copy_onto i =
+        if i = n - 1 then arg t n i
+        else
+          let elems = list_arg t n "append" i in
+          List.fold_right
+            (fun x acc ->
+              t.ntemps <- 0;
+              protect t acc;
+              V.cons gc x acc)
+            elems (copy_onto (i + 1))
+      in
+      finish t n (if n = 0 then V.nil else copy_onto 0)
   | Preverse ->
       let acc = ref V.nil in
       let rec go v =
         if v = V.nil then ()
         else begin
+          expect_pair t n "reverse" "list" 0 v;
           t.ntemps <- 0;
           protect t !acc;
           acc := V.cons gc (V.car gc v) !acc;
           go (V.cdr gc v)
         end
       in
-      go (arg 0);
-      finish !acc
-  | Plist_ref ->
-      let rec go v k = if k = 0 then V.car gc v else go (V.cdr gc v) (k - 1) in
-      finish (go (arg 0) (int_arg "list-ref" 1))
-  | Plist_tail ->
-      let rec go v k = if k = 0 then v else go (V.cdr gc v) (k - 1) in
-      finish (go (arg 0) (int_arg "list-tail" 1))
+      go (arg t n 0);
+      finish t n !acc
+  | Plist_ref | Plist_tail ->
+      let name = if p = Plist_ref then "list-ref" else "list-tail" in
+      let k = int_arg t n name 1 in
+      if k < 0 then err "%s: expected non-negative index, got %d" name k;
+      let rec drop v i =
+        if i = 0 then v
+        else begin
+          expect_pair t n name "a longer list" 0 v;
+          drop (V.cdr gc v) (i - 1)
+        end
+      in
+      let v = drop (arg t n 0) k in
+      if p = Plist_tail then finish t n v
+      else begin
+        expect_pair t n name "a longer list" 0 v;
+        finish t n (V.car gc v)
+      end
   | Pmemq | Pmember ->
       let same = match p with Pmemq -> fun a b -> a = b | _ -> V.equal gc in
+      let name = if p = Pmemq then "memq" else "member" in
       let rec go v =
         if v = V.nil then V.vfalse
-        else if same (arg 0) (V.car gc v) then v
-        else go (V.cdr gc v)
+        else begin
+          expect_pair t n name "list" 1 v;
+          if same (arg t n 0) (V.car gc v) then v else go (V.cdr gc v)
+        end
       in
-      finish (go (arg 1))
+      finish t n (go (arg t n 1))
   | Passq | Passv ->
       let same = match p with Passq -> fun a b -> a = b | _ -> V.eqv gc in
+      let name = if p = Passq then "assq" else "assv" in
       let rec go v =
         if v = V.nil then V.vfalse
         else
+          let () = expect_pair t n name "list" 1 v in
           let entry = V.car gc v in
-          if V.is_pair gc entry && same (arg 0) (V.car gc entry) then entry
+          if V.is_pair gc entry && same (arg t n 0) (V.car gc entry) then entry
           else go (V.cdr gc v)
       in
-      finish (go (arg 1))
+      finish t n (go (arg t n 1))
   (* vectors *)
   | Pmake_vector ->
-      let len = int_arg "make-vector" 0 in
-      let fill = if n > 1 then arg 1 else V.fixnum 0 in
-      finish (V.make_vector gc len fill)
+      let len = int_arg t n "make-vector" 0 in
+      let fill = if n > 1 then arg t n 1 else V.fixnum 0 in
+      finish t n (V.make_vector gc len fill)
   | Pvector ->
       let v = V.make_vector gc n V.vundef in
       for i = 0 to n - 1 do
-        V.vector_set gc v i (arg i)
+        V.vector_set gc v i (arg t n i)
       done;
-      finish v
+      finish t n v
   | Pvector_ref ->
-      let v = arg 0 and i = int_arg "vector-ref" 1 in
+      let v = arg t n 0 and i = int_arg t n "vector-ref" 1 in
       if not (V.is_vector gc v) then err "vector-ref: expected vector";
       if i < 0 || i >= V.vector_length gc v then err "vector-ref: index %d out of range" i;
-      finish (V.vector_ref gc v i)
+      finish t n (V.vector_ref gc v i)
   | Pvector_set ->
-      let v = arg 0 and i = int_arg "vector-set!" 1 in
+      let v = arg t n 0 and i = int_arg t n "vector-set!" 1 in
       if not (V.is_vector gc v) then err "vector-set!: expected vector";
       if i < 0 || i >= V.vector_length gc v then err "vector-set!: index %d out of range" i;
-      V.vector_set gc v i (arg 2);
-      finish V.vvoid
-  | Pvector_length -> finish (fixr (V.vector_length gc (arg 0)))
+      V.vector_set gc v i (arg t n 2);
+      finish t n V.vvoid
+  | Pvector_length ->
+      finish t n (fixr (V.vector_length gc (checked_arg t n "vector-length" "vector" V.is_vector 0)))
   | Pvector_fill ->
-      let v = arg 0 in
+      let v = checked_arg t n "vector-fill!" "vector" V.is_vector 0 in
       for i = 0 to V.vector_length gc v - 1 do
-        V.vector_set gc v i (arg 1)
+        V.vector_set gc v i (arg t n 1)
       done;
-      finish V.vvoid
+      finish t n V.vvoid
   (* strings *)
-  | Pstring_length -> finish (fixr (V.string_length gc (string_arg "string-length" 0)))
+  | Pstring_length -> finish t n (fixr (V.string_length gc (string_arg t n "string-length" 0)))
   | Pstring_ref ->
-      finish (V.char_v (V.string_ref gc (string_arg "string-ref" 0) (int_arg "string-ref" 1)))
+      let s = string_arg t n "string-ref" 0 and i = int_arg t n "string-ref" 1 in
+      if i < 0 || i >= V.string_length gc s then err "string-ref: index %d out of range" i;
+      finish t n (V.char_v (V.string_ref gc s i))
   | Pstring_set ->
-      let c = arg 2 in
+      let c = arg t n 2 in
       if not (V.is_char c) then err "string-set!: expected char";
-      V.string_set gc (string_arg "string-set!" 0) (int_arg "string-set!" 1) (V.char_val c);
-      finish V.vvoid
+      let s = string_arg t n "string-set!" 0 and i = int_arg t n "string-set!" 1 in
+      if i < 0 || i >= V.string_length gc s then err "string-set!: index %d out of range" i;
+      V.string_set gc s i (V.char_val c);
+      finish t n V.vvoid
   | Pmake_string ->
-      let len = int_arg "make-string" 0 in
-      let c = if n > 1 then V.char_val (arg 1) else ' ' in
-      finish (V.string_v gc (String.make len c))
+      let len = int_arg t n "make-string" 0 in
+      if len < 0 then err "make-string: expected non-negative length, got %d" len;
+      let c = if n > 1 then arg t n 1 else V.char_v ' ' in
+      if not (V.is_char c) then err "make-string: expected char, got %s" (display_string t c);
+      finish t n (V.string_v gc (String.make len (V.char_val c)))
   | Pstring_append ->
-      let parts = List.map (fun v -> V.string_val gc v) (args ()) in
-      finish (V.string_v gc (String.concat "" parts))
+      let parts = List.init n (fun i -> V.string_val gc (string_arg t n "string-append" i)) in
+      finish t n (V.string_v gc (String.concat "" parts))
   | Psubstring ->
-      let s = V.string_val gc (string_arg "substring" 0) in
-      let a = int_arg "substring" 1 and b = int_arg "substring" 2 in
-      finish (V.string_v gc (String.sub s a (b - a)))
-  | Pstring_to_symbol -> finish (V.sym (intern t.cs (V.string_val gc (arg 0))))
-  | Psymbol_to_string -> finish (V.string_v gc (sym_name t.cs (V.sym_id (arg 0))))
-  | Pnumber_to_string -> finish (V.string_v gc (display_string t (arg 0)))
+      let s = V.string_val gc (string_arg t n "substring" 0) in
+      let a = int_arg t n "substring" 1 and b = int_arg t n "substring" 2 in
+      if a < 0 || b < a || b > String.length s then
+        err "substring: range %d..%d out of range for length %d" a b (String.length s);
+      finish t n (V.string_v gc (String.sub s a (b - a)))
+  | Pstring_to_symbol ->
+      finish t n (V.sym (intern t.cs (V.string_val gc (string_arg t n "string->symbol" 0))))
+  | Psymbol_to_string ->
+      let v = arg t n 0 in
+      if not (V.is_sym v) then err "symbol->string: expected symbol, got %s" (display_string t v);
+      finish t n (V.string_v gc (sym_name t.cs (V.sym_id v)))
+  | Pnumber_to_string -> finish t n (V.string_v gc (display_string t (arg t n 0)))
   | Pstring_to_number -> (
-      let s = V.string_val gc (string_arg "string->number" 0) in
+      let s = V.string_val gc (string_arg t n "string->number" 0) in
       match int_of_string_opt s with
-      | Some k -> finish (fixr k)
+      | Some k -> finish t n (fixr k)
       | None -> (
           match float_of_string_opt s with
-          | Some f -> finish (flor t f)
-          | None -> finish V.vfalse))
+          | Some f -> finish t n (flor t f)
+          | None -> finish t n V.vfalse))
   | Pstring_eq ->
-      finish (V.bool_v (V.string_val gc (arg 0) = V.string_val gc (arg 1)))
-  | Pstring_copy -> finish (V.string_v gc (V.string_val gc (arg 0)))
+      let a = string_arg t n "string=?" 0 and b = string_arg t n "string=?" 1 in
+      finish t n (V.bool_v (V.string_val gc a = V.string_val gc b))
+  | Pstring_copy -> finish t n (V.string_v gc (V.string_val gc (string_arg t n "string-copy" 0)))
   | Plist_to_string ->
-      let chars = V.to_list gc (arg 0) in
-      finish (V.string_v gc (String.init (List.length chars) (fun i -> V.char_val (List.nth chars i))))
+      let chars = list_arg t n "list->string" 0 in
+      if not (List.for_all V.is_char chars) then
+        err "list->string: expected list of chars, got %s" (display_string t (arg t n 0));
+      finish t n (V.string_v gc (String.of_seq (Seq.map V.char_val (List.to_seq chars))))
   | Pstring_to_list ->
-      let s = V.string_val gc (arg 0) in
+      let s = V.string_val gc (string_arg t n "string->list" 0) in
       let acc = ref V.nil in
       for i = String.length s - 1 downto 0 do
         t.ntemps <- 0;
         protect t !acc;
         acc := V.cons gc (V.char_v s.[i]) !acc
       done;
-      finish !acc
-  | Pchar_to_integer -> finish (fixr (Char.code (V.char_val (arg 0))))
-  | Pinteger_to_char -> finish (V.char_v (Char.chr (int_arg "integer->char" 0 land 0xFF)))
-  | Pchar_eq -> finish (V.bool_v (arg 0 = arg 1))
+      finish t n !acc
+  | Pchar_to_integer -> finish t n (fixr (Char.code (V.char_val (arg t n 0))))
+  | Pinteger_to_char -> finish t n (V.char_v (Char.chr (int_arg t n "integer->char" 0 land 0xFF)))
+  | Pchar_eq -> finish t n (V.bool_v (arg t n 0 = arg t n 1))
   | Preal_to_decimal_string ->
-      let digits = int_arg "real->decimal-string" 1 in
-      finish (V.string_v gc (Printf.sprintf "%.*f" digits (float_val t (arg 0))))
+      let digits = int_arg t n "real->decimal-string" 1 in
+      finish t n (V.string_v gc (Printf.sprintf "%.*f" digits (float_val t (arg t n 0))))
   (* boxes *)
-  | Pbox -> finish (V.box_v gc (arg 0))
-  | Punbox -> finish (V.unbox gc (arg 0))
+  | Pbox -> finish t n (V.box_v gc (arg t n 0))
+  | Punbox -> finish t n (V.unbox gc (checked_arg t n "unbox" "box" V.is_box 0))
   | Pset_box ->
-      V.set_box gc (arg 0) (arg 1);
-      finish V.vvoid
+      V.set_box gc (checked_arg t n "set-box!" "box" V.is_box 0) (arg t n 1);
+      finish t n V.vvoid
   (* I/O.  Each of these takes an optional trailing port argument; without
      one, output goes to stdout and input comes from stdin. *)
   | Pdisplay | Pwrite | Pnewline | Pwrite_char | Pwrite_string | Pread_line
@@ -563,7 +625,7 @@ let exec_prim t p n =
       in
       (* output stream for a prim whose port argument (if any) is arg i *)
       let out_for name i =
-        if n > i then port_stream name (arg i) else Libc.stdout_stream t.libc
+        if n > i then port_stream name (arg t n i) else Libc.stdout_stream t.libc
       in
       let arity name lo hi =
         if n < lo || n > hi then err "%s: expects %d..%d arguments, got %d" name lo hi n
@@ -571,29 +633,30 @@ let exec_prim t p n =
       match p with
       | Pdisplay ->
           arity "display" 1 2;
-          Libc.fwrite t.libc (out_for "display" 1) (display_string t (arg 0));
-          finish V.vvoid
+          Libc.fwrite t.libc (out_for "display" 1) (display_string t (arg t n 0));
+          finish t n V.vvoid
       | Pwrite ->
           arity "write" 1 2;
-          Libc.fwrite t.libc (out_for "write" 1) (write_string_of t (arg 0));
-          finish V.vvoid
+          Libc.fwrite t.libc (out_for "write" 1) (write_string_of t (arg t n 0));
+          finish t n V.vvoid
       | Pnewline ->
           arity "newline" 0 1;
           Libc.fwrite t.libc (out_for "newline" 0) "\n";
-          finish V.vvoid
+          finish t n V.vvoid
       | Pwrite_char ->
           arity "write-char" 1 2;
-          Libc.fwrite t.libc (out_for "write-char" 1) (String.make 1 (V.char_val (arg 0)));
-          finish V.vvoid
+          Libc.fwrite t.libc (out_for "write-char" 1) (String.make 1 (V.char_val (arg t n 0)));
+          finish t n V.vvoid
       | Pwrite_string ->
           arity "write-string" 1 2;
-          Libc.fwrite t.libc (out_for "write-string" 1) (V.string_val gc (arg 0));
-          finish V.vvoid
+          Libc.fwrite t.libc (out_for "write-string" 1)
+            (V.string_val gc (string_arg t n "write-string" 0));
+          finish t n V.vvoid
       | Pread_line -> (
           arity "read-line" 0 1;
           let got =
             if n = 0 then Libc.stdin_gets t.libc
-            else Libc.fgets t.libc (port_stream "read-line" (arg 0)) ~max:65536
+            else Libc.fgets t.libc (port_stream "read-line" (arg t n 0)) ~max:65536
           in
           match got with
           | Some line ->
@@ -602,60 +665,60 @@ let exec_prim t p n =
                   String.sub line 0 (String.length line - 1)
                 else line
               in
-              finish (V.string_v gc line)
-          | None -> finish V.veof)
+              finish t n (V.string_v gc line)
+          | None -> finish t n V.veof)
       | Pread_char -> (
           arity "read-char" 0 1;
           let got =
             if n = 0 then Libc.stdin_gets_char t.libc
-            else Libc.fgetc t.libc (port_stream "read-char" (arg 0))
+            else Libc.fgetc t.libc (port_stream "read-char" (arg t n 0))
           in
-          match got with Some c -> finish (V.char_v c) | None -> finish V.veof)
+          match got with Some c -> finish t n (V.char_v c) | None -> finish t n V.veof)
       | Pflush_output ->
           arity "flush-output" 0 1;
-          if n = 1 then Libc.fflush t.libc (port_stream "flush-output" (arg 0))
+          if n = 1 then Libc.fflush t.libc (port_stream "flush-output" (arg t n 0))
           else Libc.flush_all t.libc;
-          finish V.vvoid
+          finish t n V.vvoid
       | Popen_input -> (
-          let path = V.string_val gc (string_arg "open-input-file" 0) in
+          let path = V.string_val gc (string_arg t n "open-input-file" 0) in
           match Libc.fopen t.libc ~path ~mode:"r" with
           | Ok s ->
               let id = t.next_port in
               t.next_port <- id + 1;
               Hashtbl.replace t.ports id s;
-              finish (V.port_v id)
+              finish t n (V.port_v id)
           | Error e ->
               err "open-input-file: %s: %s" path (Mv_ros.Syscalls.errno_name e))
       | Popen_output -> (
-          let path = V.string_val gc (string_arg "open-output-file" 0) in
+          let path = V.string_val gc (string_arg t n "open-output-file" 0) in
           match Libc.fopen t.libc ~path ~mode:"w" with
           | Ok s ->
               let id = t.next_port in
               t.next_port <- id + 1;
               Hashtbl.replace t.ports id s;
-              finish (V.port_v id)
+              finish t n (V.port_v id)
           | Error e ->
               err "open-output-file: %s: %s" path (Mv_ros.Syscalls.errno_name e))
       | Pclose_port ->
-          let v = arg 0 in
+          let v = arg t n 0 in
           if not (V.is_port v) then err "close-port: expected a port";
           (match Hashtbl.find_opt t.ports (V.port_id v) with
           | Some s ->
               Libc.fclose t.libc s;
               Hashtbl.remove t.ports (V.port_id v)
           | None -> ());
-          finish V.vvoid
-      | Peof_objectp -> finish (V.bool_v (arg 0 = V.veof))
-      | Pportp -> finish (V.bool_v (V.is_port (arg 0)))
+          finish t n V.vvoid
+      | Peof_objectp -> finish t n (V.bool_v (arg t n 0 = V.veof))
+      | Pportp -> finish t n (V.bool_v (V.is_port (arg t n 0)))
       | _ -> assert false)
-  | Pvoid -> finish V.vvoid
+  | Pvoid -> finish t n V.vvoid
   | Perror ->
-      let parts = List.map (fun v -> display_string t v) (args ()) in
+      let parts = List.map (fun v -> display_string t v) (args t n) in
       raise (Scheme_error (String.concat " " parts))
-  | Pcurrent_seconds -> finish (fixr (int_of_float (t.env.Env.gettimeofday ())))
+  | Pcurrent_seconds -> finish t n (fixr (int_of_float (t.env.Env.gettimeofday ())))
   | Pcollect_garbage ->
       Sgc.collect t.heap;
-      finish V.vvoid
+      finish t n V.vvoid
   | Pplace_spawn | Pplace_send | Pplace_recv | Pplace_wait -> (
       let ops =
         match t.place_ops with
@@ -664,25 +727,25 @@ let exec_prim t p n =
       in
       match p with
       | Pplace_spawn ->
-          let src = V.string_val gc (string_arg "place-spawn" 0) in
+          let src = V.string_val gc (string_arg t n "place-spawn" 0) in
           (* Spawning a place costs a thread creation plus heap setup;
              charged by the engine's implementation. *)
-          finish (fixr (ops.po_spawn src))
+          finish t n (fixr (ops.po_spawn src))
       | Pplace_send -> (
-          let id = int_arg "place-send" 0 in
-          match Places.encode t.cs (arg 1) with
+          let id = int_arg t n "place-send" 0 in
+          match Places.encode t.cs (arg t n 1) with
           | m ->
               ops.po_send id m;
-              finish V.vvoid
+              finish t n V.vvoid
           | exception Places.Not_transferable ty ->
               err "place-send: %s values are not transferable" ty)
       | Pplace_recv ->
-          let id = int_arg "place-receive" 0 in
+          let id = int_arg t n "place-receive" 0 in
           let m = ops.po_recv id in
-          finish (Places.decode t.cs m)
+          finish t n (Places.decode t.cs m)
       | Pplace_wait ->
-          ops.po_wait (int_arg "place-wait" 0);
-          finish V.vvoid
+          ops.po_wait (int_arg t n "place-wait" 0);
+          finish t n V.vvoid
       | _ -> assert false)
   | Papply -> assert false (* handled in the main loop *)
 
@@ -702,20 +765,20 @@ let code_no_capture (code : code) =
 let max_pooled = 4096
 
 let alloc_frame t ~parent ~size =
-  match Hashtbl.find_opt t.frame_pool size with
-  | Some ({ contents = f :: rest } as cell) ->
+  match Hashtbl.find t.frame_pool size with
+  | { contents = f :: rest } as cell ->
       cell := rest;
       t.pool_count <- t.pool_count - 1;
       V.frame_set_parent t.heap f parent;
       f
-  | Some _ | None -> V.frame t.heap ~parent ~size
+  | { contents = [] } | (exception Not_found) -> V.frame t.heap ~parent ~size
 
 let recycle_frame t f =
   if t.pool_count < max_pooled then begin
     let size = V.frame_size t.heap f in
-    (match Hashtbl.find_opt t.frame_pool size with
-    | Some cell -> cell := f :: !cell
-    | None -> Hashtbl.replace t.frame_pool size (ref [ f ]));
+    (match Hashtbl.find t.frame_pool size with
+    | cell -> cell := f :: !cell
+    | exception Not_found -> Hashtbl.replace t.frame_pool size (ref [ f ]));
     t.pool_count <- t.pool_count + 1
   end
 
@@ -824,9 +887,8 @@ let enter_call t argc ~tail =
   end
   end
 
-let lookup_env t env depth =
-  let rec go env d = if d = 0 then env else go (V.frame_parent t.heap env) (d - 1) in
-  go env depth
+let rec lookup_env heap env depth =
+  if depth = 0 then env else lookup_env heap (V.frame_parent heap env) (depth - 1)
 
 let tick t =
   t.tick_acc <- t.tick_acc + 1;
@@ -858,8 +920,8 @@ let run_code t idx =
     match instr with
     | Imm v -> push t v
     | Const i -> push t t.cs.constants.(i)
-    | Lref (d, i) -> push t (V.frame_ref t.heap (lookup_env t fr.f_env d) i)
-    | Lset (d, i) -> V.frame_set t.heap (lookup_env t fr.f_env d) i (pop t)
+    | Lref (d, i) -> push t (V.frame_ref t.heap (lookup_env t.heap fr.f_env d) i)
+    | Lset (d, i) -> V.frame_set t.heap (lookup_env t.heap fr.f_env d) i (pop t)
     | Gref i ->
         ensure_globals t;
         let v = t.globals.(i) in
@@ -903,6 +965,8 @@ let run_code t idx =
         push t f;
         let rec spread count v =
           if v = V.nil then count
+          else if not (V.is_pair t.heap v) then
+            err "apply: expected list, got %s" (display_string t lst)
           else begin
             push t (V.car t.heap v);
             spread (count + 1) (V.cdr t.heap v)

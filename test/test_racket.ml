@@ -353,6 +353,146 @@ let test_eval_errors () =
   check_bool "division by zero" true (raises "(quotient 1 0)");
   check_bool "user error" true (raises {|(error "boom")|})
 
+(* A primitive given the wrong type of heap argument raises the Scheme
+   error the REPL reports, never an escaping host exception. *)
+let test_eval_prim_type_errors () =
+  let cases =
+    [ "(reverse 5)"; "(list-ref (list 1 2) 5)"; "(vector-length 3)"; "(unbox 7)";
+      "(string->symbol 4)"; "(list-tail (list 1 2) 3)"; "(vector-fill! 3 0)";
+      "(set-box! 3 0)"; "(set-car! 3 0)"; "(set-cdr! '() 0)"; "(string-ref \"abc\" 10)";
+      "(string-append \"a\" 5)"; "(substring \"abc\" 2 9)"; "(symbol->string 5)";
+      "(string=? \"a\" 5)"; "(string-copy 5)"; "(list->string 5)"; "(string->list 5)";
+      "(append 5 '(1))"; "(memq 'x 5)"; "(assq 'x 5)"; "(apply + 5)"; "(make-string -1)" ]
+  in
+  let outcomes =
+    in_guest (fun env _p ->
+        let engine = Engine.start env in
+        List.map
+          (fun src ->
+            match Engine.eval_string engine src with
+            | exception Vm.Scheme_error _ -> (src, "Scheme_error")
+            | exception e -> (src, Printexc.to_string e)
+            | v -> (src, Vm.write_string_of (Engine.vm engine) v))
+          cases)
+  in
+  List.iter (fun (src, got) -> check_string src "Scheme_error" got) outcomes
+
+(* --- differential oracle: arithmetic and comparisons --- *)
+
+(* Closed trees over + - * and the comparisons, evaluated by the VM and by
+   a reference evaluator over plain OCaml numbers. *)
+type expr = Int of int | Flo of float | Op of string * expr list
+
+type rv = RInt of int | RFlo of float | RBool of bool
+
+exception Ref_error
+
+(* Fixnums carry 62 bits: results wrap like [Value.fixnum]. *)
+let wrap n = (n lsl 1) asr 1
+
+let to_float = function RInt n -> float_of_int n | RFlo f -> f | RBool _ -> raise Ref_error
+
+(* Mirrors Vm's numeric primitives: a lone argument is returned unchecked
+   by + and *, mixed operands go to float, comparisons stop at the first
+   false pair. *)
+let rec ref_eval = function
+  | Int n -> RInt n
+  | Flo f -> RFlo f
+  | Op (op, args) -> (
+      let vs = List.map ref_eval args in
+      let arith fix flo a b =
+        match (a, b) with
+        | RInt x, RInt y -> RInt (wrap (fix x y))
+        | (RInt _ | RFlo _), (RInt _ | RFlo _) -> RFlo (flo (to_float a) (to_float b))
+        | _ -> raise Ref_error
+      in
+      let fold id fix flo =
+        match vs with [] -> RInt id | x :: rest -> List.fold_left (arith fix flo) x rest
+      in
+      let rec chain fix flo = function
+        | (RInt x :: (RInt y :: _ as rest)) -> fix x y && chain fix flo rest
+        | a :: (b :: _ as rest) -> flo (to_float a) (to_float b) && chain fix flo rest
+        | _ -> true
+      in
+      match op with
+      | "+" -> fold 0 ( + ) ( +. )
+      | "*" -> fold 1 ( * ) ( *. )
+      | "-" -> (
+          match vs with
+          | [] -> raise Ref_error
+          | [ RInt x ] -> RInt (wrap (-x))
+          | [ x ] -> RFlo (-.to_float x)
+          | _ -> fold 0 ( - ) ( -. ))
+      | "<" -> RBool (chain ( < ) ( < ) vs)
+      | ">" -> RBool (chain ( > ) ( > ) vs)
+      | "<=" -> RBool (chain ( <= ) ( <= ) vs)
+      | ">=" -> RBool (chain ( >= ) ( >= ) vs)
+      | _ -> RBool (chain ( = ) ( = ) vs))
+
+let ref_write = function
+  | RInt n -> string_of_int n
+  | RFlo f ->
+      if Float.is_integer f && Float.abs f < 1e18 then Printf.sprintf "%.1f" f
+      else Printf.sprintf "%.12g" f
+  | RBool b -> if b then "#t" else "#f"
+
+let rec expr_src = function
+  | Int n -> string_of_int n
+  | Flo f ->
+      let s = Printf.sprintf "%.17g" f in
+      if String.exists (fun c -> c = '.' || c = 'e') s then s else s ^ ".0"
+  | Op (op, args) -> "(" ^ String.concat " " (op :: List.map expr_src args) ^ ")"
+
+(* Small operands collide often, so comparisons see equal pairs; the
+   boundary fixnums overflow.  Comparisons nested in arithmetic give
+   non-number operands. *)
+let gen_expr =
+  let open QCheck.Gen in
+  let boundary = [ 1 lsl 60; -(1 lsl 60); (1 lsl 60) - 1; (1 lsl 61) - 1; -(1 lsl 61) ] in
+  let leaf =
+    frequency
+      [ (1, map (fun n -> Int n) (oneofl boundary));
+        (3, map (fun n -> Int n) (int_range (-3) 3));
+        (2, map (fun k -> Flo (float_of_int k /. 2.)) (int_range (-6) 6));
+        (1, map (fun f -> Flo f) (oneofl [ 0.1; 1e15; -2.5e-3; 1e300 ])) ]
+  in
+  let node ops sub =
+    map2
+      (fun op args -> Op (op, args))
+      (oneofl ops)
+      (frequency [ (3, list_repeat 2 sub); (1, list_size (int_bound 4) sub) ])
+  in
+  let arith = [ "+"; "-"; "*" ] and compare = [ "<"; ">"; "<="; ">="; "=" ] in
+  let rec num depth =
+    if depth = 0 then leaf
+    else
+      let sub = num (depth - 1) in
+      frequency [ (3, leaf); (3, node arith sub); (1, node compare sub) ]
+  in
+  frequency [ (1, num 4); (2, node compare (num 3)) ]
+
+let qcheck_vm_arith_oracle =
+  QCheck.Test.make ~name:"vm: arithmetic and comparisons match a reference evaluator"
+    ~count:200
+    (QCheck.make
+       ~print:(fun es -> String.concat "\n" (List.map expr_src es))
+       QCheck.Gen.(list_size (int_range 1 8) gen_expr))
+    (fun exprs ->
+      let got =
+        in_guest (fun env _p ->
+            let engine = Engine.start env in
+            List.map
+              (fun e ->
+                match Engine.eval_string engine (expr_src e) with
+                | v -> Vm.write_string_of (Engine.vm engine) v
+                | exception Vm.Scheme_error _ -> "<error>")
+              exprs)
+      in
+      let expected =
+        List.map (fun e -> match ref_eval e with v -> ref_write v | exception Ref_error -> "<error>") exprs
+      in
+      got = expected)
+
 let test_eval_gc_under_pressure () =
   (* Allocation-heavy nested data with live working set: exercises GC
      while the VM stack holds intermediate references. *)
@@ -587,6 +727,9 @@ let suite =
     ("eval: control forms", `Quick, test_eval_control);
     ("eval: numeric tower", `Quick, test_eval_numeric_tower);
     ("eval: runtime errors", `Quick, test_eval_errors);
+    ("eval: primitive type errors are Scheme errors", `Quick, test_eval_prim_type_errors);
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick ~rand:(Random.State.make [| 14 |])
+      qcheck_vm_arith_oracle;
     ("eval: GC under pressure", `Quick, test_eval_gc_under_pressure);
     ("engine: startup syscall profile (Fig 11)", `Quick, test_engine_startup_profile);
     ("engine: REPL", `Quick, test_engine_repl);
